@@ -73,7 +73,8 @@ profile:
 
 # The CI determinism lane: a reduced figure run twice, -workers 1 vs
 # -workers 8, diffed byte for byte — the worker-count invariance guarantee
-# as a pipeline check (faults covers the new injection layer). The second
+# as a pipeline check (faults covers the injection layer; figure 10 keeps
+# the graph synthesizer a function of the seed alone). The second
 # pair runs traced (faults + federation-scaleout) and also diffs the
 # telemetry exports: the Perfetto trace and the gauge timeline must be
 # byte-identical at any worker count, not just the rendered figures.
@@ -83,8 +84,8 @@ profile:
 # JSONL, gauge CSV) byte-diffed — the serial kernel is the oracle and
 # the parallel kernel must reproduce it exactly.
 determinism:
-	$(GO) run ./cmd/dias-experiments -fig 7,faults -jobs 40 -workers 1 -bench-out '' > determinism-w1.txt
-	$(GO) run ./cmd/dias-experiments -fig 7,faults -jobs 40 -workers 8 -bench-out '' > determinism-w8.txt
+	$(GO) run ./cmd/dias-experiments -fig 7,faults,10 -jobs 40 -workers 1 -bench-out '' > determinism-w1.txt
+	$(GO) run ./cmd/dias-experiments -fig 7,faults,10 -jobs 40 -workers 8 -bench-out '' > determinism-w8.txt
 	cmp determinism-w1.txt determinism-w8.txt
 	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
 	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt

@@ -26,12 +26,17 @@
 //
 // # Output memoization
 //
-// TaskFunc implementations must be pure, deterministic transforms. The
-// engine exploits this: when the same *Job value is submitted more than
-// once (experiment drivers re-execute fixed job templates for every
-// arrival), the outputs of input-reading stages — whose task inputs are
-// the template's own stable partitions — are computed once and served
-// from a per-engine cache on every later execution. Simulated task
-// durations are priced by the cost model from input sizes, so memoization
-// changes no timing, only removes redundant host-CPU work.
+// TaskFunc implementations must be pure, deterministic transforms, and a
+// submitted Job's Input and Stages must never be modified afterwards.
+// The engine exploits both: the outputs of input-reading stages — whose
+// task inputs are the template's own partitions — are cached on the *Job
+// itself, one sync.Once slot per (stage, partition), and served to every
+// execution of the template on any engine or goroutine. Experiment
+// drivers re-execute fixed templates for every arrival, so each output is
+// computed once per template. The cache lives and dies with the template;
+// a shallow copy shares it only while it keeps the same Input and Stages
+// slices. Simulated task durations are priced by the cost model from
+// input sizes, so the cache changes no timing, only removes redundant
+// host-CPU work. Dependent stages are recomputed every time: their input
+// depends on which upstream tasks ran and in what order.
 package engine

@@ -49,10 +49,10 @@ const (
 // TaskFunc transforms one input partition into output records. It must be
 // a pure, deterministic function of its input: it must not mutate the
 // input slice, and it must not retain or later mutate the returned slice.
-// The engine relies on this to memoize input-reading stage outputs when
-// the same *Job value is submitted repeatedly (simulated re-executions of
-// a job template), and to alias shuffle outputs as downstream inputs
-// without defensive copying.
+// The engine relies on this to compute each input-reading stage output
+// once per job template and serve it to every execution of that *Job, on
+// any engine, and to alias shuffle outputs as downstream inputs without
+// defensive copying.
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -77,7 +77,12 @@ type Stage struct {
 // JobID identifies a submitted job within an Engine.
 type JobID uint64
 
-// Job is a runnable DAG over an input dataset.
+// Job is a runnable DAG over an input dataset. Once a job has been
+// submitted, its Input and Stages (and the partitions and Compute
+// functions they hold) must not be modified: the outputs of its
+// input-reading stages are cached on the template and shared by every
+// later execution. Build a variant by copying the Job and assigning new
+// Input or Stages slices; a copy that keeps both shares the cache.
 type Job struct {
 	// Name labels the job in diagnostics.
 	Name string
@@ -95,6 +100,10 @@ type Job struct {
 	Stages []Stage
 	// SizeBytes is the logical input size used by cost and setup models.
 	SizeBytes int64
+
+	// memo caches input-reading stage outputs for every execution of
+	// this template (see outputMemo).
+	memo *stageMemo
 }
 
 // Validate checks the DAG shape.
@@ -390,9 +399,8 @@ type execution struct {
 	// swap-remove); a deterministic replacement for the old map, so DVFS
 	// rescaling and speculation scans are reproducible per seed.
 	running []*task
-	// memoize marks a re-submitted job template whose input-reading stage
-	// outputs may be served from the engine's memo cache.
-	memoize bool
+	// memo serves the template's input-reading stage outputs.
+	memo    *stageMemo
 	done    bool
 	evicted bool
 }
@@ -452,18 +460,6 @@ type Engine struct {
 	// FailNode's per-node abort sweep.
 	permScratch  []int
 	abortScratch []*task
-	// jobSeen tracks submitted job templates; a second submission of the
-	// same *Job enables output memoization for its input-reading stages.
-	// Entries are deliberately never evicted (a template may be
-	// re-submitted arbitrarily long after it last completed), so an
-	// engine retains one pointer-sized entry per distinct job over its
-	// lifetime; experiment drivers pre-schedule every arrival's job
-	// anyway, so this adds no meaningful peak memory to a run.
-	jobSeen map[*Job]bool
-	// memo caches pure stage outputs per (template, stage, partition);
-	// populated only for jobs actually re-submitted, so its size is
-	// bounded by the re-used templates, not by total submissions.
-	memo map[memoKey][]Record
 
 	wastedSlotSeconds    float64
 	completedJobs        int
@@ -498,25 +494,15 @@ func New(sim *simtime.Simulation, clu *cluster.Cluster, fs *dfs.FS, cost CostMod
 		return nil, errors.New("engine: nil simulation or cluster")
 	}
 	e := &Engine{
-		sim:     sim,
-		clu:     clu,
-		fs:      fs,
-		cost:    cost,
-		rng:     rand.New(rand.NewSource(seed)),
-		execs:   make(map[JobID]*execution),
-		jobSeen: make(map[*Job]bool),
-		memo:    make(map[memoKey][]Record),
+		sim:   sim,
+		clu:   clu,
+		fs:    fs,
+		cost:  cost,
+		rng:   rand.New(rand.NewSource(seed)),
+		execs: make(map[JobID]*execution),
 	}
 	clu.OnSpeedChange(e.rescaleRunning)
 	return e, nil
-}
-
-// memoKey addresses one cached stage output: the partition of an
-// input-reading stage of a job template.
-type memoKey struct {
-	job       *Job
-	stage     int32
-	partition int32
 }
 
 // newTask takes a task struct off the freelist (or allocates one with its
@@ -577,7 +563,7 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 	ex.slotSeconds, ex.failureLostSec = 0, 0
 	ex.retries, ex.tasksTotal, ex.tasksExecuted, ex.tasksDropped = 0, 0, 0, 0
 	ex.launched, ex.specLaunched = 0, 0
-	ex.memoize, ex.done, ex.evicted = false, false, false
+	ex.done, ex.evicted = false, false
 	return ex
 }
 
@@ -585,7 +571,7 @@ func (e *Engine) newExecution(job *Job, opts SubmitOptions) *execution {
 // reusable per-stage slices stay attached; everything that escaped
 // through the JobResult is dropped.
 func (e *Engine) freeExecution(ex *execution) {
-	ex.job = nil
+	ex.job, ex.memo = nil, nil
 	ex.opts = SubmitOptions{}
 	ex.resultOut = nil  // escaped as JobResult.Output
 	ex.stageStats = nil // escaped as JobResult.Stages
@@ -677,13 +663,7 @@ func (e *Engine) Submit(job *Job, opts SubmitOptions) (JobID, error) {
 		}
 	}
 	ex := e.newExecution(job, opts)
-	if e.jobSeen[job] {
-		// The template was executed before on this engine: its pure
-		// input-reading stage outputs can be served from the memo cache.
-		ex.memoize = true
-	} else {
-		e.jobSeen[job] = true
-	}
+	ex.memo = job.outputMemo()
 	for si, st := range job.Stages {
 		ex.stageStats[si].Name = st.Name
 		ex.stageStats[si].Kind = st.Kind
@@ -956,17 +936,11 @@ func (e *Engine) completeTask(t *task) {
 	switch {
 	case s.Compute == nil:
 		out = t.input
-	case ex.memoize && len(s.Deps) == 0:
-		// Re-executed template, input-reading stage: the partition's input
-		// is the template's own (stable) data, so the pure Compute output
-		// can be cached across executions.
-		k := memoKey{job: ex.job, stage: int32(t.stage), partition: int32(t.partition)}
-		cached, ok := e.memo[k]
-		if !ok {
-			cached = s.Compute(t.input)
-			e.memo[k] = cached
-		}
-		out = cached
+	case len(s.Deps) == 0:
+		// Input-reading stage: the partition's input is the template's
+		// own immutable data, so the pure Compute output is shared by
+		// every execution of the template.
+		out = ex.memo.output(t.stage, t.partition, s.Compute, t.input)
 	default:
 		out = s.Compute(t.input)
 	}

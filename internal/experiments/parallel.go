@@ -81,37 +81,37 @@ func ParallelKernel(scale Scale) (*ParallelKernelFigure, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	variants, rates, err := fedWorkload(scale, scaleMembers, scaleUtilization)
-	if err != nil {
-		return nil, err
-	}
 	members := homogeneousMembers(scaleMembers)
-	scaled := scaleRates(rates, capacityFactor(members))
-	cell := func(name string, simWorkers int) fedScenario {
+	// timed runs one cell on templates built for it alone, outside the
+	// timed region: the templates cache their stage outputs, so a cell
+	// reusing an earlier cell's templates would start warm.
+	timed := func(name string, simWorkers int) (metrics.FederationScenarioResult, float64, error) {
+		variants, rates, err := fedWorkload(scale, scaleMembers, scaleUtilization)
+		if err != nil {
+			return metrics.FederationScenarioResult{}, 0, err
+		}
 		cellScale := scale
 		cellScale.SimWorkers = simWorkers
-		return fedScenario{
+		sc := fedScenario{
 			name:     name,
 			members:  members,
 			policy:   fedPolicyFactory{name: name, make: scaleRoutingSet()[0].make}, // jsq
-			rates:    scaled,
+			rates:    scaleRates(rates, capacityFactor(members)),
 			variants: variants,
 			scale:    cellScale,
 		}
-	}
-	timed := func(sc fedScenario) (metrics.FederationScenarioResult, float64, error) {
 		start := time.Now()
 		res, err := sc.run()
 		return res, time.Since(start).Seconds(), err
 	}
-	serial, serialWall, err := timed(cell("serial", 1))
+	serial, serialWall, err := timed("serial", 1)
 	if err != nil {
 		return nil, err
 	}
 	rows := []metrics.FederationScenarioResult{serial}
 	for _, w := range parallelKernelWorkerCounts {
 		name := fmt.Sprintf("simworkers-%d", w)
-		par, parWall, err := timed(cell(name, w))
+		par, parWall, err := timed(name, w)
 		if err != nil {
 			return nil, err
 		}

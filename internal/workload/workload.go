@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -138,15 +139,18 @@ func SynthesizeGraph(rng *rand.Rand, cfg GraphConfig) ([]analytics.Edge, error) 
 			endpoints = append(endpoints, int64(u), int64(v))
 		}
 	}
+	// chosen keeps the distinct targets in draw order, so the edge list —
+	// and with it every later draw — is a function of the seed alone.
+	chosen := make([]int64, 0, m)
 	for v := m + 1; v < cfg.Nodes; v++ {
-		chosen := make(map[int64]bool, m)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if t != int64(v) {
-				chosen[t] = true
+			if t != int64(v) && !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
 			}
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			edges = append(edges, analytics.Edge{U: int64(v), V: t})
 			endpoints = append(endpoints, int64(v), t)
 		}

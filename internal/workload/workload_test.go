@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -174,6 +175,25 @@ func TestSynthesizeGraph(t *testing.T) {
 	// A scale-free graph of this density has triangles.
 	if analytics.ExactTriangles(edges) == 0 {
 		t.Fatal("no triangles in scale-free graph")
+	}
+}
+
+// TestSynthesizeGraphDeterministic pins figure 10's input: two calls at
+// one seed return the identical edge list, in the identical order.
+func TestSynthesizeGraphDeterministic(t *testing.T) {
+	cfg := GraphConfig{Nodes: 300, EdgesPerNode: 5}
+	first, err := SynthesizeGraph(rand.New(rand.NewSource(11)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 5; run++ {
+		again, err := SynthesizeGraph(rand.New(rand.NewSource(11)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(first, again) {
+			t.Fatalf("run %d: edge list differs at a fixed seed", run)
+		}
 	}
 }
 
