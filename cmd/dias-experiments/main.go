@@ -5,6 +5,7 @@
 //	                 [-replicas R] [-bench-out BENCH_results.json]
 //	                 [-trace trace.json] [-events events.jsonl]
 //	                 [-timeline timeline.csv] [-max-sys-mb M]
+//	                 [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -fig list prints every registered figure with its description; -fig also
 // accepts a comma-separated list (e.g. -fig 7,federation-scaleout). The
@@ -20,6 +21,10 @@
 // observational only: figure output and BENCH_results.json are
 // byte-identical with or without it, and the exports themselves are
 // byte-identical at any -workers count.
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole run (the
+// CPU samples, and every allocation sampled since start), for
+// `go tool pprof` without a go-test harness. They change no output.
 //
 // -workers parallelizes ACROSS independent runs; -sim-workers
 // parallelizes WITHIN each federation run, on the conservative
@@ -41,12 +46,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -69,6 +76,8 @@ func main() {
 	eventsOut := flag.String("events", "", "write the raw telemetry event stream as JSONL here (empty = skip)")
 	timelineOut := flag.String("timeline", "", "write the gauge timeline as CSV here (empty = skip)")
 	maxSysMB := flag.Int("max-sys-mb", 0, "fail if the Go heap reserves more than this many MiB from the OS (0 = no ceiling)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run here (empty = skip)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run here (empty = skip)")
 	flag.Parse()
 
 	if *fig == "list" {
@@ -92,8 +101,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dias-experiments: %v\nusage: -bench-out must name a file in a writable directory (or be empty to skip the report)\n", err)
 		os.Exit(2)
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dias-experiments:", err)
+		os.Exit(2)
+	}
 	exports := exportPaths{trace: *traceOut, events: *eventsOut, timeline: *timelineOut}
-	if err := run(*fig, scale, *replicas, *benchOut, exports); err != nil {
+	err = run(*fig, scale, *replicas, *benchOut, exports)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dias-experiments:", err)
 		os.Exit(1)
 	}
@@ -101,6 +119,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dias-experiments:", err)
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts CPU profiling into cpuPath and opens memPath, both
+// up front so a bad path fails before the run (the caller then exits);
+// the returned stop func ends the CPU profile and writes the allocation
+// profile. Empty paths skip their profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuF, memF *os.File
+	if cpuPath != "" {
+		if cpuF, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpuF); err != nil {
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		if memF, err = os.Create(memPath); err != nil {
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpuF != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpuF.Close())
+		}
+		if memF != nil {
+			errs = append(errs, pprof.Lookup("allocs").WriteTo(memF, 0), memF.Close())
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 // checkSysCeiling asserts the process-lifetime memory high-water mark

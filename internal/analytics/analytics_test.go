@@ -3,6 +3,7 @@ package analytics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,39 @@ func TestTriangleCountJobLargerGraph(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("triangle count = %g, want %g", got, want)
+	}
+}
+
+// TestTriangleCountKeptOutputMatchesPerRecordBucketing: the triangle job's
+// kept Output, with its canonicalize outputs served pre-grouped by bucket
+// from the template memo, equals a variant whose stage 0 buckets record
+// by record (pre-canonicalized input, identity Compute) — the whole
+// JobResult, across repeated executions and at θ>0 on stage 0. Task
+// durations here are per task, not per record, so both run alike.
+func TestTriangleCountKeptOutputMatchesPerRecordBucketing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var edges []Edge
+	for i := 0; i < 300; i++ {
+		edges = append(edges, Edge{int64(rng.Intn(40)), int64(rng.Intn(40))})
+	}
+	job := TriangleCountJob("tc", EdgeDataset(edges, 5), 7, 1000)
+	perRecord := *job
+	perRecord.Input = make(engine.Dataset, len(job.Input))
+	for p, part := range job.Input {
+		perRecord.Input[p] = stageCanonicalize(part)
+	}
+	perRecord.Stages = append([]engine.Stage(nil), job.Stages...)
+	perRecord.Stages[0].Compute = nil
+	for i, drops := range [][]float64{nil, {0.4}, nil, {0.4}} {
+		got, want := runJob(t, job, drops), runJob(t, &perRecord, drops)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (drops %v): result differs from per-record bucketing:\ngot  %+v\nwant %+v", i, drops, got, want)
+		}
+		if drops == nil {
+			if n, err := TriangleCount(got.Output); err != nil || n != float64(ExactTriangles(edges)) {
+				t.Fatalf("run %d: triangle count %g (%v), want %d", i, n, err, ExactTriangles(edges))
+			}
+		}
 	}
 }
 

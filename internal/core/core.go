@@ -84,7 +84,9 @@ type Config struct {
 	// implement admission.Learner are fed every completion.
 	Admission admission.Policy
 	// KeepOutputs retains job outputs in records (needed for accuracy
-	// measurements; costs memory on long runs).
+	// measurements; costs memory on long runs). When unset the engine
+	// skips the Result stage's compute altogether (see
+	// engine.SubmitOptions.DiscardOutput); no timing depends on it.
 	KeepOutputs bool
 	// OnRecord, when non-nil, receives every completed job's record the
 	// moment it is produced — the streaming hook for metrics accumulators.
@@ -515,9 +517,10 @@ func (s *Scheduler) dispatchNext() {
 		drops = s.cfg.DropRatios[next.class]
 	}
 	id, err := s.eng.Submit(next.job, engine.SubmitOptions{
-		DropRatios: drops,
-		OnComplete: next.completeFn,
-		Span:       next.span,
+		DropRatios:    drops,
+		OnComplete:    next.completeFn,
+		Span:          next.span,
+		DiscardOutput: !s.cfg.KeepOutputs,
 	})
 	if err != nil {
 		// Invalid job: drop it rather than wedging the queue. Validation

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"dias/internal/cluster"
@@ -542,5 +545,45 @@ func TestEnumerateChoicesValidation(t *testing.T) {
 	}
 	if _, err := EnumerateChoices([]float64{0}, fig6Curve, KnobConstraints{}, nil); err == nil {
 		t.Fatal("empty tolerances accepted")
+	}
+}
+
+// TestDiscardedOutputsChangeNoRecord: without KeepOutputs the engine never
+// computes the Result stage, and every record equals a KeepOutputs run's
+// apart from Output.
+func TestDiscardedOutputsChangeNoRecord(t *testing.T) {
+	run := func(keep bool) ([]JobRecord, int32) {
+		var calls atomic.Int32
+		cfg := PolicyDA([]float64{0.5, 0})
+		cfg.KeepOutputs = keep
+		r := newRig(t, 2, 1, cfg)
+		for i := 0; i < 12; i++ {
+			job := twoStageJob("j"+strconv.Itoa(i), 6, 3)
+			job.Stages[1].Compute = func(in []engine.Record) []engine.Record {
+				calls.Add(1)
+				return slices.Clone(in)
+			}
+			class := i % 2
+			r.sim.At(simtime.Time(float64(i)*1.5), func() { _ = r.sch.Arrive(class, job) })
+		}
+		r.sim.Run()
+		return r.sch.Records(), calls.Load()
+	}
+	kept, keptCalls := run(true)
+	discarded, discardCalls := run(false)
+	if discardCalls != 0 {
+		t.Fatalf("%d Result-stage computes without KeepOutputs, want 0", discardCalls)
+	}
+	if keptCalls == 0 || len(kept) != 12 {
+		t.Fatalf("kept run: %d records, %d Result-stage computes", len(kept), keptCalls)
+	}
+	for i := range kept {
+		if len(kept[i].Output) == 0 {
+			t.Fatalf("record %d: no output kept", i)
+		}
+		kept[i].Output = nil
+	}
+	if !reflect.DeepEqual(kept, discarded) {
+		t.Fatalf("records differ apart from Output:\nkept      %+v\ndiscarded %+v", kept, discarded)
 	}
 }

@@ -20,6 +20,14 @@
 // place via simtime.RescheduleAfter instead of cancelling and re-closing
 // them; and shuffle bucketing hashes keys with an inline FNV-1a.
 //
+// Tasks do no data work whose result nobody reads. A submission with
+// SubmitOptions.DiscardOutput (the DiAS core sets it unless
+// Config.KeepOutputs) never runs its Result stage's Compute nor collects
+// JobResult.Output; durations are priced from input sizes, so nothing
+// else changes. An input-reading map task copies its memoized output
+// into the shuffle buckets as one contiguous run per bucket (see below);
+// only dependent ShuffleMap stages hash record by record.
+//
 // In-flight tasks are tracked per execution in a launch-ordered slice, so
 // rescaling and speculation scans — and therefore whole simulations — are
 // deterministic per seed with no map-iteration randomness.
@@ -33,10 +41,14 @@
 // itself, one sync.Once slot per (stage, partition), and served to every
 // execution of the template on any engine or goroutine. Experiment
 // drivers re-execute fixed templates for every arrival, so each output is
-// computed once per template. The cache lives and dies with the template;
-// a shallow copy shares it only while it keeps the same Input and Stages
-// slices. Simulated task durations are priced by the cost model from
-// input sizes, so the cache changes no timing, only removes redundant
-// host-CPU work. Dependent stages are recomputed every time: their input
-// depends on which upstream tasks ran and in what order.
+// computed once per template. A ShuffleMap slot stores its output
+// already grouped by destination bucket — a stable counting sort by
+// bucketOf plus an offset table, one copy only — so each bucket receives
+// exactly the records, in exactly the order, a per-record loop would
+// append. The cache lives and dies with the template; a shallow copy
+// shares it only while it keeps the same Input and Stages slices.
+// Simulated task durations are priced by the cost model from input
+// sizes, so the cache changes no timing, only removes redundant host-CPU
+// work. Dependent stages are recomputed every time: their input depends
+// on which upstream tasks ran and in what order.
 package engine

@@ -51,8 +51,9 @@ const (
 // input slice, and it must not retain or later mutate the returned slice.
 // The engine relies on this to compute each input-reading stage output
 // once per job template and serve it to every execution of that *Job, on
-// any engine, and to alias shuffle outputs as downstream inputs without
-// defensive copying.
+// any engine, to alias shuffle outputs as downstream inputs without
+// defensive copying, and to skip a Result stage whose output is
+// discarded (SubmitOptions.DiscardOutput).
 type TaskFunc func(in []Record) []Record
 
 // Stage describes one synchronization stage of a job.
@@ -320,6 +321,11 @@ type SubmitOptions struct {
 	// task events the engine emits carry it, joining the execution to the
 	// submitter's job lifecycle span.
 	Span telemetry.SpanID
+	// DiscardOutput declares that nobody reads JobResult.Output: the
+	// Result stage's Compute is never called and Output stays nil. Every
+	// other JobResult field is unchanged, since simulated durations are
+	// priced from input sizes only.
+	DiscardOutput bool
 }
 
 // task is one unit of schedulable work. Tasks are pooled on the engine's
@@ -932,27 +938,26 @@ func (e *Engine) completeTask(t *task) {
 	ex.stageDurations[t.stage] = append(ex.stageDurations[t.stage], duration)
 
 	s := &ex.job.Stages[t.stage]
-	var out []Record
 	switch {
-	case s.Compute == nil:
-		out = t.input
-	case len(s.Deps) == 0:
-		// Input-reading stage: the partition's input is the template's
-		// own immutable data, so the pure Compute output is shared by
-		// every execution of the template.
-		out = ex.memo.output(t.stage, t.partition, s.Compute, t.input)
-	default:
-		out = s.Compute(t.input)
-	}
-	switch s.Kind {
-	case ShuffleMap:
+	case s.Kind == Result && ex.opts.DiscardOutput:
+		// Nothing reads the output and task durations never depend on
+		// it: skip the compute.
+	case s.Kind == Result:
+		ex.resultOut = append(ex.resultOut, ex.taskOutput(t)...)
+	case s.Compute != nil && len(s.Deps) == 0:
+		// Input-reading map: the template memo serves the output already
+		// grouped by bucket, so each bucket takes one contiguous append.
 		buckets := ex.outputs[t.stage]
-		for _, r := range out {
+		out, offs := ex.memo.output(t.stage, t.partition, s.Compute, t.input, len(buckets))
+		for b := range buckets {
+			buckets[b] = append(buckets[b], out[offs[b]:offs[b+1]]...)
+		}
+	default:
+		buckets := ex.outputs[t.stage]
+		for _, r := range ex.taskOutput(t) {
 			b := bucketOf(r.Key, len(buckets))
 			buckets[b] = append(buckets[b], r)
 		}
-	case Result:
-		ex.resultOut = append(ex.resultOut, out...)
 	}
 
 	stage := t.stage
@@ -964,6 +969,22 @@ func (e *Engine) completeTask(t *task) {
 		e.maybeSpeculate(ex, stage)
 	}
 	e.dispatch()
+}
+
+// taskOutput applies t's stage Compute to its input (nil Compute is the
+// identity). An input-reading stage's input is the template's own
+// immutable data, so its pure Compute output comes from the template
+// memo, shared by every execution.
+func (ex *execution) taskOutput(t *task) []Record {
+	s := &ex.job.Stages[t.stage]
+	switch {
+	case s.Compute == nil:
+		return t.input
+	case len(s.Deps) == 0:
+		out, _ := ex.memo.output(t.stage, t.partition, s.Compute, t.input, 1)
+		return out
+	}
+	return s.Compute(t.input)
 }
 
 // failTask aborts an attempt the fault injector doomed: the machine time

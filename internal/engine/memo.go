@@ -19,9 +19,12 @@ type stageMemo struct {
 	slots [][]memoSlot
 }
 
+// memoSlot holds one task's output grouped by shuffle bucket: bucket b's
+// records are out[offs[b]:offs[b+1]], in the order Compute produced them.
 type memoSlot struct {
 	once sync.Once
 	out  []Record
+	offs []int
 }
 
 // memoMu guards the memo field of every Job. It is taken once per
@@ -48,10 +51,38 @@ func (j *Job) outputMemo() *stageMemo {
 	return m
 }
 
-// output returns stage si's output on input partition p, computing it on
-// the first call only; concurrent callers wait for that one computation.
-func (m *stageMemo) output(si, p int, compute TaskFunc, in []Record) []Record {
+// output returns stage si's output on input partition p grouped into n
+// shuffle buckets (see memoSlot), computing and grouping it on the first
+// call only; concurrent callers wait for that one computation. A stage's
+// n never changes, since the memo is bound to the template's Stages.
+func (m *stageMemo) output(si, p int, compute TaskFunc, in []Record, n int) (out []Record, offs []int) {
 	sl := &m.slots[si][p]
-	sl.once.Do(func() { sl.out = compute(in) })
-	return sl.out
+	sl.once.Do(func() { sl.out, sl.offs = groupByBucket(compute(in), n) })
+	return sl.out, sl.offs
+}
+
+// groupByBucket stably reorders recs by bucketOf(key, n) — a counting
+// sort — so each bucket's records form one contiguous run in their
+// original relative order, exactly as a per-record append loop would
+// deliver them. Bucket b is grouped[offs[b]:offs[b+1]].
+func groupByBucket(recs []Record, n int) (grouped []Record, offs []int) {
+	offs = make([]int, n+1)
+	dest := make([]int32, len(recs))
+	for i, r := range recs {
+		b := bucketOf(r.Key, n)
+		dest[i] = int32(b)
+		offs[b+1]++
+	}
+	for b := 1; b <= n; b++ {
+		offs[b] += offs[b-1]
+	}
+	next := make([]int, n)
+	copy(next, offs)
+	grouped = make([]Record, len(recs))
+	for i, r := range recs {
+		b := dest[i]
+		grouped[next[b]] = r
+		next[b]++
+	}
+	return grouped, offs
 }
