@@ -75,9 +75,11 @@ profile:
 # -workers 8, diffed byte for byte — the worker-count invariance guarantee
 # as a pipeline check (faults covers the injection layer; figure 10 keeps
 # the graph synthesizer a function of the seed alone). The second
-# pair runs traced (faults + federation-scaleout) and also diffs the
-# telemetry exports: the Perfetto trace and the gauge timeline must be
-# byte-identical at any worker count, not just the rendered figures.
+# pair runs traced (faults, federation-scaleout, and figure 11, whose
+# limited and unlimited runs share scenario names) and also diffs the
+# telemetry exports: the Perfetto trace, the event JSONL and the gauge
+# timeline must be byte-identical at any worker count, not just the
+# rendered figures.
 # The third pair holds the same line for the conservative parallel
 # kernel: federation-scaleout and parallel-kernel at -sim-workers 1 vs 8,
 # traced, with the figure text and every export (Perfetto JSON, event
@@ -87,12 +89,13 @@ determinism:
 	$(GO) run ./cmd/dias-experiments -fig 7,faults,10 -jobs 40 -workers 1 -bench-out '' > determinism-w1.txt
 	$(GO) run ./cmd/dias-experiments -fig 7,faults,10 -jobs 40 -workers 8 -bench-out '' > determinism-w8.txt
 	cmp determinism-w1.txt determinism-w8.txt
-	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
-	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt
+	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout,11 -jobs 40 -workers 1 -bench-out '' -trace determinism-w1.trace.json -events determinism-w1.events.jsonl -timeline determinism-w1.timeline.csv > determinism-traced-w1.txt
+	$(GO) run ./cmd/dias-experiments -fig faults,federation-scaleout,11 -jobs 40 -workers 8 -bench-out '' -trace determinism-w8.trace.json -events determinism-w8.events.jsonl -timeline determinism-w8.timeline.csv > determinism-traced-w8.txt
 	cmp determinism-traced-w1.txt determinism-traced-w8.txt
 	cmp determinism-w1.trace.json determinism-w8.trace.json
+	cmp determinism-w1.events.jsonl determinism-w8.events.jsonl
 	cmp determinism-w1.timeline.csv determinism-w8.timeline.csv
-	rm -f determinism-w1.txt determinism-w8.txt determinism-traced-w1.txt determinism-traced-w8.txt determinism-w1.trace.json determinism-w8.trace.json determinism-w1.timeline.csv determinism-w8.timeline.csv
+	rm -f determinism-w1.txt determinism-w8.txt determinism-traced-w1.txt determinism-traced-w8.txt determinism-w1.trace.json determinism-w8.trace.json determinism-w1.events.jsonl determinism-w8.events.jsonl determinism-w1.timeline.csv determinism-w8.timeline.csv
 	$(GO) run ./cmd/dias-experiments -fig federation-scaleout,parallel-kernel -jobs 40 -sim-workers 1 -bench-out '' -trace determinism-sw1.trace.json -events determinism-sw1.events.jsonl -timeline determinism-sw1.timeline.csv > determinism-sw1.txt
 	$(GO) run ./cmd/dias-experiments -fig federation-scaleout,parallel-kernel -jobs 40 -sim-workers 8 -bench-out '' -trace determinism-sw8.trace.json -events determinism-sw8.events.jsonl -timeline determinism-sw8.timeline.csv > determinism-sw8.txt
 	cmp determinism-sw1.txt determinism-sw8.txt

@@ -46,20 +46,19 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"dias/internal/experiments"
 	"dias/internal/metrics"
+	"dias/internal/profiling"
 	"dias/internal/runner"
 	"dias/internal/telemetry"
 )
@@ -76,8 +75,8 @@ func main() {
 	eventsOut := flag.String("events", "", "write the raw telemetry event stream as JSONL here (empty = skip)")
 	timelineOut := flag.String("timeline", "", "write the gauge timeline as CSV here (empty = skip)")
 	maxSysMB := flag.Int("max-sys-mb", 0, "fail if the Go heap reserves more than this many MiB from the OS (0 = no ceiling)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run here (empty = skip)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run here (empty = skip)")
+	var prof profiling.Flags
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *fig == "list" {
@@ -101,7 +100,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dias-experiments: %v\nusage: -bench-out must name a file in a writable directory (or be empty to skip the report)\n", err)
 		os.Exit(2)
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dias-experiments:", err)
 		os.Exit(2)
@@ -119,38 +118,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dias-experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles starts CPU profiling into cpuPath and opens memPath, both
-// up front so a bad path fails before the run (the caller then exits);
-// the returned stop func ends the CPU profile and writes the allocation
-// profile. Empty paths skip their profile.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuF, memF *os.File
-	if cpuPath != "" {
-		if cpuF, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpuF); err != nil {
-			return nil, err
-		}
-	}
-	if memPath != "" {
-		if memF, err = os.Create(memPath); err != nil {
-			return nil, err
-		}
-	}
-	return func() error {
-		var errs []error
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			errs = append(errs, cpuF.Close())
-		}
-		if memF != nil {
-			errs = append(errs, pprof.Lookup("allocs").WriteTo(memF, 0), memF.Close())
-		}
-		return errors.Join(errs...)
-	}, nil
 }
 
 // checkSysCeiling asserts the process-lifetime memory high-water mark

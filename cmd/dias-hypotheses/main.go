@@ -3,6 +3,7 @@
 //
 //	dias-hypotheses [-run all|ID[,ID...]] [-list] [-check]
 //	                [-dir hypotheses] [-workers W]
+//	                [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Default mode regenerates <dir>/<id>/FINDINGS.md for every selected
 // hypothesis plus the <dir>/README.md index (index only when the full set
@@ -18,6 +19,9 @@
 // prefix. Output is deterministic for a fixed module state: fixed seeds,
 // order-preserving worker pool, no timestamps or environment in the
 // rendered text.
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole run, as
+// on dias-experiments; they change no output.
 package main
 
 import (
@@ -30,6 +34,7 @@ import (
 	"strings"
 
 	"dias/internal/hypotheses"
+	"dias/internal/profiling"
 )
 
 func main() {
@@ -38,6 +43,8 @@ func main() {
 	check := flag.Bool("check", false, "verify committed findings instead of writing: re-run and byte-compare")
 	dir := flag.String("dir", "hypotheses", "directory holding <id>/FINDINGS.md and README.md")
 	workers := flag.Int("workers", 0, "concurrent simulation runs (0 = one per CPU core); does not affect output bytes")
+	var prof profiling.Flags
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	specs := hypotheses.All()
@@ -50,7 +57,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dias-hypotheses:", err)
 		os.Exit(2)
 	}
-	if err := runAll(selected, full, *dir, *check, *workers); err != nil {
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dias-hypotheses:", err)
+		os.Exit(2)
+	}
+	err = runAll(selected, full, *dir, *check, *workers)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dias-hypotheses:", err)
 		os.Exit(1)
 	}

@@ -5,6 +5,7 @@
 //	dias-sim -policy da -bursty            # MMPP2 arrivals, same mean rates
 //	dias-sim -policy np -mttf 1800 -mttr 60  # inject node failures
 //	dias-sim -policy adaptive -target 120  # closed-loop deflation
+//	dias-sim -cpuprofile cpu.prof -memprofile mem.prof  # pprof profiles of the run
 //
 // Policies: p (preemptive), np, da (approximation only), dias
 // (approximation + sprinting), adaptive (closed-loop da).
@@ -23,6 +24,7 @@ import (
 	"dias/internal/engine"
 	"dias/internal/metrics"
 	"dias/internal/mmap"
+	"dias/internal/profiling"
 	"dias/internal/workload"
 )
 
@@ -40,8 +42,19 @@ func main() {
 	flag.Float64Var(&opt.mttr, "mttr", 60, "mean node repair time [s]")
 	flag.Float64Var(&opt.target, "target", 0, "adaptive policy: low-priority mean response target [s] (0 = 3x solo exec)")
 	flag.Int64Var(&opt.seed, "seed", 1, "seed")
+	var prof profiling.Flags
+	prof.Register(flag.CommandLine)
 	flag.Parse()
-	if err := run(opt); err != nil {
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dias-sim:", err)
+		os.Exit(2)
+	}
+	err = run(opt)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dias-sim:", err)
 		os.Exit(1)
 	}

@@ -6,12 +6,21 @@
 //   - graph analysis: triangle counting (the GraphX workload) as a chain of
 //     six ShuffleMap stages plus one Result stage.
 //
+// A task of either job sees tens to a few hundred records. The text stages
+// count words in pooled hash maps; the triangle-count stages after
+// canonicalize group records by sorting a pooled scratch slice and walking
+// its runs of equal keys, which costs less than hashing at that size.
+// Every stage returns its records in a fixed order, so the engine's
+// bucketing, and with it every simulated number, does not depend on how a
+// stage groups.
+//
 // It also provides the accuracy metrics the paper reports: ApproxHadoop-
 // style inverse-sampling estimators and the relative error of approximate
 // results against exact ones (Figure 6, §5.2.4).
 package analytics
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -270,32 +279,75 @@ func stageCanonicalize(in []engine.Record) []engine.Record {
 	return out
 }
 
-// edgeSetPool recycles stageDedup's scratch map.
-var edgeSetPool = sync.Pool{
-	New: func() any { return make(map[string]Edge, 512) },
+// triangleScratch is the per-task scratch of the dependent stages, pooled
+// because concurrent engines run these stages on different goroutines.
+type triangleScratch struct {
+	records []engine.Record
+	adj     []adjEntry
+	keys    []string
+	counts  []float64
+	buf     []byte
+	ends    []int
+}
+
+// adjEntry is one (vertex key, neighbour) pair of stageWedges' input.
+type adjEntry struct {
+	key string
+	n   int64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(triangleScratch) }}
+
+// vertexCacheSize bounds the vertex IDs whose shuffle key and boxed value
+// stageAdjacency takes from vertexCache; IDs outside [0, vertexCacheSize)
+// are formatted and boxed per record.
+const vertexCacheSize = 1024
+
+// vertexCache holds, for each vertex ID below vertexCacheSize, its decimal
+// key and its value boxed as int64. It is built once and only read after.
+var vertexCache = sync.OnceValue(func() []engine.Record {
+	c := make([]engine.Record, vertexCacheSize)
+	for v := range c {
+		c[v] = engine.Record{Key: strconv.Itoa(v), Value: int64(v)}
+	}
+	return c
+})
+
+// vertex returns v's shuffle key and v boxed as int64.
+func vertex(v int64) (string, any) {
+	if v >= 0 && v < vertexCacheSize {
+		r := vertexCache()[v]
+		return r.Key, r.Value
+	}
+	return strconv.FormatInt(v, 10), v
 }
 
 // stageDedup removes duplicate edges; canonical keys co-locate duplicates.
+// It sorts the edge records, visited last to first, stably by key and keeps
+// the first of each run — the last occurrence of each key — so it returns
+// the kept records as they came, ordered by key.
 func stageDedup(in []engine.Record) []engine.Record {
-	seen := edgeSetPool.Get().(map[string]Edge)
-	for _, r := range in {
-		if e, ok := r.Value.(Edge); ok {
-			seen[r.Key] = e
+	sc := scratchPool.Get().(*triangleScratch)
+	recs := sc.records[:0]
+	for i := len(in) - 1; i >= 0; i-- {
+		if _, ok := in[i].Value.(Edge); ok {
+			recs = append(recs, in[i])
 		}
 	}
-	out := make([]engine.Record, 0, len(seen))
-	for k, e := range seen {
-		out = append(out, engine.Record{Key: k, Value: e})
-	}
-	clear(seen)
-	edgeSetPool.Put(seen)
-	sortRecords(out)
+	slices.SortStableFunc(recs, compareKeys)
+	recs = slices.CompactFunc(recs, func(a, b engine.Record) bool { return a.Key == b.Key })
+	out := make([]engine.Record, len(recs))
+	copy(out, recs)
+	clear(recs)
+	sc.records = recs[:0]
+	scratchPool.Put(sc)
 	return out
 }
 
 // stageAdjacency emits each edge under both endpoint keys so the next
 // stage sees complete neighborhoods, plus one edge marker under the
-// canonical key for the later join.
+// canonical key for the later join. Its input comes from stageDedup, so
+// each record is already keyed by its edge's canonical key.
 func stageAdjacency(in []engine.Record) []engine.Record {
 	out := make([]engine.Record, 0, 3*len(in))
 	for _, r := range in {
@@ -303,88 +355,118 @@ func stageAdjacency(in []engine.Record) []engine.Record {
 		if !ok {
 			continue
 		}
+		uKey, u := vertex(e.U)
+		vKey, v := vertex(e.V)
 		out = append(out,
-			engine.Record{Key: strconv.FormatInt(e.U, 10), Value: e.V},
-			engine.Record{Key: strconv.FormatInt(e.V, 10), Value: e.U},
-			engine.Record{Key: e.key(), Value: markerEdge},
+			engine.Record{Key: uKey, Value: v},
+			engine.Record{Key: vKey, Value: u},
+			engine.Record{Key: r.Key, Value: markerEdge},
 		)
 	}
 	return out
 }
 
-// adjPool recycles stageWedges' adjacency scratch map (the neighbor
-// slices themselves are released on clear; only the bucket array is kept).
-var adjPool = sync.Pool{
-	New: func() any { return make(map[string][]int64, 512) },
-}
-
-// stageWedges groups neighbors per vertex and emits one wedge record per
-// neighbor pair, forwarding edge markers unchanged.
+// stageWedges forwards edge markers unchanged, then emits one wedge record
+// per pair of distinct neighbours of each vertex, vertices in key order and
+// pairs in neighbour order. The (vertex, neighbour) pairs are sorted so each
+// vertex's neighbourhood is one run, with repeated neighbours adjacent and
+// dropped in place.
 func stageWedges(in []engine.Record) []engine.Record {
-	adj := adjPool.Get().(map[string][]int64)
-	var out []engine.Record
+	sc := scratchPool.Get().(*triangleScratch)
+	adj := sc.adj[:0]
+	markers := 0
 	for _, r := range in {
 		switch v := r.Value.(type) {
 		case int64:
-			adj[r.Key] = append(adj[r.Key], v)
+			adj = append(adj, adjEntry{key: r.Key, n: v})
 		case string:
 			if v == markerEdge {
-				out = append(out, r)
+				markers++
 			}
 		}
 	}
-	keys := make([]string, 0, len(adj))
-	for k := range adj {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		ns := dedupSorted(adj[k])
-		for i := 0; i < len(ns); i++ {
-			for j := i + 1; j < len(ns); j++ {
-				w := Edge{U: ns[i], V: ns[j]}
-				out = append(out, engine.Record{Key: w.key(), Value: markerWedge})
-			}
+	slices.SortFunc(adj, func(a, b adjEntry) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-	}
-	clear(adj)
-	adjPool.Put(adj)
-	return out
-}
-
-// edgeMarkPool recycles stageJoin's edge-membership scratch set.
-var edgeMarkPool = sync.Pool{
-	New: func() any { return make(map[string]bool, 512) },
-}
-
-// stageJoin counts, per canonical pair key, wedges that close into
-// triangles because the pair is also an edge.
-func stageJoin(in []engine.Record) []engine.Record {
-	wedges := countsPool.Get().(map[string]float64)
-	isEdge := edgeMarkPool.Get().(map[string]bool)
-	for _, r := range in {
-		switch r.Value {
-		case markerWedge:
-			wedges[r.Key]++
-		case markerEdge:
-			isEdge[r.Key] = true
+		return cmp.Compare(a.n, b.n)
+	})
+	adj = slices.Compact(adj)
+	// Write every wedge key into one buffer, to cut the keys out of a
+	// single string copy of it: one allocation for all of them.
+	buf, ends := sc.buf[:0], sc.ends[:0]
+	var prefix [20 + 1]byte // an int64 and a comma
+	for lo, hi := 0, 0; lo < len(adj); lo = hi {
+		for hi = lo + 1; hi < len(adj) && adj[hi].key == adj[lo].key; hi++ {
+		}
+		for i := lo; i < hi; i++ {
+			p := append(strconv.AppendInt(prefix[:0], adj[i].n, 10), ',')
+			for j := i + 1; j < hi; j++ {
+				buf = strconv.AppendInt(append(buf, p...), adj[j].n, 10)
+				ends = append(ends, len(buf))
+			}
 		}
 	}
 	var out []engine.Record
-	keys := make([]string, 0, len(wedges))
-	for k := range wedges {
-		keys = append(keys, k)
+	if n := markers + len(ends); n > 0 {
+		out = make([]engine.Record, 0, n)
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if isEdge[k] {
-			out = append(out, engine.Record{Key: k, Value: wedges[k]})
+	for _, r := range in {
+		if v, ok := r.Value.(string); ok && v == markerEdge {
+			out = append(out, r)
 		}
 	}
-	clear(wedges)
-	countsPool.Put(wedges)
-	clear(isEdge)
-	edgeMarkPool.Put(isEdge)
+	keys := string(buf)
+	start := 0
+	for _, end := range ends {
+		out = append(out, engine.Record{Key: keys[start:end], Value: markerWedge})
+		start = end
+	}
+	clear(adj)
+	sc.adj, sc.buf, sc.ends = adj[:0], buf[:0], ends[:0]
+	scratchPool.Put(sc)
+	return out
+}
+
+// stageJoin counts, per canonical pair key, wedges that close into
+// triangles because the pair is also an edge. The edge-marker keys are
+// sorted and deduplicated, each wedge is counted by a binary search into
+// them, and the keys with a count are emitted in order.
+func stageJoin(in []engine.Record) []engine.Record {
+	sc := scratchPool.Get().(*triangleScratch)
+	keys := sc.keys[:0]
+	for _, r := range in {
+		if v, ok := r.Value.(string); ok && v == markerEdge {
+			keys = append(keys, r.Key)
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	counts := slices.Grow(sc.counts[:0], len(keys))[:len(keys)]
+	clear(counts)
+	matched := 0
+	for _, r := range in {
+		if v, ok := r.Value.(string); ok && v == markerWedge {
+			if i, found := slices.BinarySearch(keys, r.Key); found {
+				if counts[i] == 0 {
+					matched++
+				}
+				counts[i]++
+			}
+		}
+	}
+	var out []engine.Record
+	if matched > 0 {
+		out = make([]engine.Record, 0, matched)
+		for i, c := range counts {
+			if c > 0 {
+				out = append(out, engine.Record{Key: keys[i], Value: c})
+			}
+		}
+	}
+	clear(keys)
+	sc.keys, sc.counts = keys[:0], counts[:0]
+	scratchPool.Put(sc)
 	return out
 }
 
@@ -496,25 +578,13 @@ func ExactTriangles(edges []Edge) int64 {
 	return count
 }
 
-func dedupSorted(xs []int64) []int64 {
-	if len(xs) == 0 {
-		return xs
-	}
-	slices.Sort(xs)
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // sortRecords orders records by key without sort.Slice's reflection-based
 // swapper, a measurable win on the per-task shuffle outputs.
 func sortRecords(rs []engine.Record) {
-	slices.SortFunc(rs, func(a, b engine.Record) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(rs, compareKeys)
 }
+
+func compareKeys(a, b engine.Record) int { return strings.Compare(a.Key, b.Key) }
 
 // ParseEdgeKey is exported for tests and tooling that inspect shuffle keys.
 func ParseEdgeKey(k string) (Edge, bool) { return parseEdgeKey(k) }

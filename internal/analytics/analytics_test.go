@@ -14,7 +14,7 @@ import (
 
 // runJob executes a job to completion on a fresh noise-free rig and returns
 // the result.
-func runJob(t *testing.T, job *engine.Job, drops []float64) engine.JobResult {
+func runJob(t testing.TB, job *engine.Job, drops []float64) engine.JobResult {
 	t.Helper()
 	sim := simtime.New()
 	clu, err := cluster.New(sim, cluster.DefaultConfig())

@@ -190,19 +190,24 @@ func Figure11(scale Scale) (*Figure11Result, error) {
 	// All six runs (P, NPS, limited/unlimited DiAS at θ=0.1/0.2) are
 	// independent; fan them out as one grid. Each scenario carries its own
 	// SprintPolicy instance, so concurrent runs share no budget state.
-	mk := func(name string, policy core.Config) scenario {
+	mk := func(name string, policy core.Config, scale Scale) scenario {
 		return scenario{
 			name: name, policy: policy, rates: rates,
 			jobs: jobs, cost: cost, cluster: cluCfg, scale: scale,
 		}
 	}
+	// The limited and unlimited DiAS runs share scenario names, so each
+	// set traces into its own namespace: one collector per run.
+	limited, unlimited := scale, scale
+	limited.Telemetry = scale.Telemetry.Namespace("limited")
+	unlimited.Telemetry = scale.Telemetry.Namespace("unlimited")
 	results, err := runScenarios([]scenario{
-		mk("P", core.PolicyP(2)),
-		mk("NPS", npsCfg),
-		mk("DiAS(0,10)", mkDiAS(0.1, limitedSprint())),
-		mk("DiAS(0,20)", mkDiAS(0.2, limitedSprint())),
-		mk("DiAS(0,10)", mkDiAS(0.1, unlimitedSprint())),
-		mk("DiAS(0,20)", mkDiAS(0.2, unlimitedSprint())),
+		mk("P", core.PolicyP(2), scale),
+		mk("NPS", npsCfg, scale),
+		mk("DiAS(0,10)", mkDiAS(0.1, limitedSprint()), limited),
+		mk("DiAS(0,20)", mkDiAS(0.2, limitedSprint()), limited),
+		mk("DiAS(0,10)", mkDiAS(0.1, unlimitedSprint()), unlimited),
+		mk("DiAS(0,20)", mkDiAS(0.2, unlimitedSprint()), unlimited),
 	})
 	if err != nil {
 		return nil, err

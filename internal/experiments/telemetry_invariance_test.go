@@ -84,17 +84,7 @@ func TestTelemetryExportWorkerCountInvariance(t *testing.T) {
 		if _, err := FaultTolerance(scale); err != nil {
 			t.Fatal(err)
 		}
-		var tb, eb, lb bytes.Buffer
-		if err := scale.Telemetry.WriteChromeTrace(&tb); err != nil {
-			t.Fatal(err)
-		}
-		if err := scale.Telemetry.WriteEventsJSONL(&eb); err != nil {
-			t.Fatal(err)
-		}
-		if err := scale.Telemetry.WriteTimelineCSV(&lb); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Bytes(), eb.Bytes(), lb.Bytes()
+		return writeExports(t, scale.Telemetry)
 	}
 	t1, e1, l1 := exports(1)
 	t8, e8, l8 := exports(8)
@@ -106,5 +96,53 @@ func TestTelemetryExportWorkerCountInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(l1, l8) {
 		t.Error("gauge timeline differs between 1 and 8 workers")
+	}
+}
+
+// writeExports renders reg's three export files.
+func writeExports(t *testing.T, reg *telemetry.Registry) (trace, events, timeline []byte) {
+	t.Helper()
+	var tb, eb, lb bytes.Buffer
+	if err := reg.WriteChromeTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteEventsJSONL(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteTimelineCSV(&lb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), eb.Bytes(), lb.Bytes()
+}
+
+// TestFigure11TracedExportsRepeat: Figure 11 runs its limited and unlimited
+// DiAS scenarios under the same names, concurrently at Workers 2. Each run
+// must trace into a collector of its own — a shared one is written from two
+// goroutines, which the race detector reports and which makes the exports
+// vary between runs — so two traced runs give byte-identical exports.
+func TestFigure11TracedExportsRepeat(t *testing.T) {
+	exports := func() (names []string, trace, events, timeline []byte) {
+		scale := Scale{Jobs: 20, WarmupFraction: 0.1, Seed: 3, Workers: 2}
+		scale.Telemetry = telemetry.NewRegistry(telemetry.Config{Seed: scale.Seed})
+		if _, err := Figure11(scale); err != nil {
+			t.Fatal(err)
+		}
+		trace, events, timeline = writeExports(t, scale.Telemetry)
+		return scale.Telemetry.Names(), trace, events, timeline
+	}
+	names, t1, e1, l1 := exports()
+	want := []string{"NPS", "P", "limited/DiAS(0,10)", "limited/DiAS(0,20)", "unlimited/DiAS(0,10)", "unlimited/DiAS(0,20)"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("collectors = %q, want %q", names, want)
+	}
+	_, t2, e2, l2 := exports()
+	if !bytes.Equal(t1, t2) {
+		t.Error("Chrome trace differs between two runs")
+	}
+	if !bytes.Equal(e1, e2) {
+		t.Error("event JSONL differs between two runs")
+	}
+	if !bytes.Equal(l1, l2) {
+		t.Error("gauge timeline differs between two runs")
 	}
 }
